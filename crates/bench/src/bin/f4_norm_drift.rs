@@ -4,30 +4,24 @@
 //! when it is off. The quantum analogue of the energy-conservation
 //! regularizer for conservative-PDE PINNs.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, standard_train, wave_config, wave_net, zoo_task, RunOpts};
+use qpinn_core::metrics::norm_series;
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
 use qpinn_core::trainer::Trainer;
-use qpinn_nn::ParamSet;
-use qpinn_problems::TdseProblem;
-use rand::{rngs::StdRng, SeedableRng};
 
-fn run(problem: &TdseProblem, conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
-    let mut cfg = TdseTaskConfig::standard(problem, opts.pick(24, 64), 3);
-    cfg.n_collocation = opts.pick(384, 4096);
-    cfg.reference = (256, opts.pick(400, 1500), 32);
-    cfg.eval_grid = (64, 24);
+const KEY: &str = "tdse-harmonic";
+
+fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
+    let mut cfg = wave_config(opts.pick(384, 4096));
     if !conservation {
-        cfg.weights.conservation = 0.0;
+        cfg.conservation = 0.0;
     }
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let (mut task, mut params) = zoo_task(KEY, &wave_net(KEY, opts.pick(24, 64), 3), &cfg, 100);
     let log = Trainer::new(standard_train(opts.pick(800, 5000))).train(&mut task, &mut params);
-    let times: Vec<f64> = (0..=10)
-        .map(|k| problem.t_end * k as f64 / 10.0)
-        .collect();
-    let norms = task.norm_series(&params, &times);
+    let coords = task.problem().coords();
+    let (x, t) = (&coords[0], &coords[1]);
+    let times: Vec<f64> = (0..=10).map(|k| t.hi * k as f64 / 10.0).collect();
+    let norms = norm_series(task.net(), &params, x.lo, x.hi, 256, &times);
     (times, norms, log.final_error)
 }
 
@@ -35,9 +29,8 @@ fn main() {
     let opts = RunOpts::from_args();
     banner("F4", "norm drift with/without conservation loss", &opts);
 
-    let problem = TdseProblem::harmonic_packet();
-    let (times, with_norms, with_err) = run(&problem, true, &opts);
-    let (_, without_norms, without_err) = run(&problem, false, &opts);
+    let (times, with_norms, with_err) = run(true, &opts);
+    let (_, without_norms, without_err) = run(false, &opts);
 
     let mut table = TextTable::new(&["t", "∫|ψ|² (with cons.)", "∫|ψ|² (without)"]);
     for i in 0..times.len() {

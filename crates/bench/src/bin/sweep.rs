@@ -69,7 +69,12 @@ fn main() {
         },
     };
 
-    let opts = RunOpts::from_args();
+    let opts = RunOpts::from_args_with(&[
+        ("--problem", true),
+        ("--ansatz", true),
+        ("--list-problems", false),
+        ("--list-ansatze", false),
+    ]);
     banner(
         "SWEEP",
         &format!(

@@ -3,14 +3,12 @@
 //! Fourier features, exact periodic embedding, causal time weighting, and
 //! the norm-conservation loss.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, standard_train, wave_config, wave_net, zoo_task, RunOpts};
 use qpinn_core::experiment::{aggregate, run_seeds};
-use qpinn_core::model::{CoordSpec, FieldNetConfig};
+use qpinn_core::model::CoordSpec;
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{NlsTask, NlsTaskConfig, TdseTask, TdseTaskConfig};
+use qpinn_core::ZooTask;
 use qpinn_nn::ParamSet;
-use qpinn_problems::{NlsProblem, TdseProblem};
-use rand::{rngs::StdRng, SeedableRng};
 
 #[derive(Clone, Copy, Debug)]
 enum Variant {
@@ -32,15 +30,26 @@ impl Variant {
         }
     }
 
-    fn apply_net(&self, net: &mut FieldNetConfig) {
+    /// Build `key`'s task with this variant's feature switched off.
+    fn task(
+        &self,
+        key: &str,
+        width: usize,
+        depth: usize,
+        n_coll: usize,
+        seed: u64,
+    ) -> (ZooTask, ParamSet) {
+        let mut net = wave_net(key, width, depth);
+        let mut cfg = wave_config(n_coll);
         match self {
+            Variant::Standard => {}
             Variant::NoRff => net.rff = None,
-            Variant::NoPeriodic => {
-                // replace the periodic x-embedding with a raw coordinate
-                net.coords[0] = CoordSpec::Raw;
-            }
-            _ => {}
+            // replace the periodic x-embedding with a raw coordinate
+            Variant::NoPeriodic => net.coords[0] = CoordSpec::Raw,
+            Variant::NoCausal => cfg.causal = None,
+            Variant::NoConservation => cfg.conservation = 0.0,
         }
+        zoo_task(key, &net, &cfg, seed)
     }
 }
 
@@ -63,70 +72,24 @@ fn main() {
     let mut table = TextTable::new(&["problem", "variant", "rel-L2 (mean±std)"]);
     let mut records = Vec::new();
 
-    let tdse = TdseProblem::free_packet();
-    for variant in VARIANTS {
-        let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut cfg = TdseTaskConfig::standard(&tdse, w, d);
-            cfg.n_collocation = opts.pick(384, 4096);
-            cfg.reference = (256, opts.pick(400, 1500), 32);
-            cfg.eval_grid = (64, 24);
-            variant.apply_net(&mut cfg.net);
-            if matches!(variant, Variant::NoCausal) {
-                cfg.causal = None;
-            }
-            if matches!(variant, Variant::NoConservation) {
-                cfg.weights.conservation = 0.0;
-            }
-            let mut params = ParamSet::new();
-            let task = TdseTask::new(tdse.clone(), &cfg, &mut params, &mut rng);
-            (task, params)
-        });
-        let agg = aggregate(&runs);
-        table.row(&[
-            tdse.name.clone(),
-            variant.name().into(),
-            qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
-        ]);
-        records.push(Json::obj(vec![
-            ("problem", Json::Str(tdse.name.clone())),
-            ("variant", Json::Str(variant.name().into())),
-            ("mean_error", Json::Num(agg.mean_error)),
-            ("std_error", Json::Num(agg.std_error)),
-        ]));
-    }
-
-    let nls = NlsProblem::raissi_benchmark();
-    for variant in VARIANTS {
-        let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut cfg = NlsTaskConfig::standard(&nls, w, d);
-            cfg.n_collocation = opts.pick(384, 4096);
-            cfg.reference = (256, opts.pick(600, 2000), 32);
-            cfg.eval_grid = (64, 24);
-            variant.apply_net(&mut cfg.net);
-            if matches!(variant, Variant::NoCausal) {
-                cfg.causal = None;
-            }
-            if matches!(variant, Variant::NoConservation) {
-                cfg.weights.conservation = 0.0;
-            }
-            let mut params = ParamSet::new();
-            let task = NlsTask::new(nls.clone(), &cfg, &mut params, &mut rng);
-            (task, params)
-        });
-        let agg = aggregate(&runs);
-        table.row(&[
-            nls.name.clone(),
-            variant.name().into(),
-            qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
-        ]);
-        records.push(Json::obj(vec![
-            ("problem", Json::Str(nls.name.clone())),
-            ("variant", Json::Str(variant.name().into())),
-            ("mean_error", Json::Num(agg.mean_error)),
-            ("std_error", Json::Num(agg.std_error)),
-        ]));
+    for key in ["tdse-free", "nls-raissi"] {
+        for variant in VARIANTS {
+            let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
+                variant.task(key, w, d, opts.pick(384, 4096), seed)
+            });
+            let agg = aggregate(&runs);
+            table.row(&[
+                key.to_string(),
+                variant.name().into(),
+                qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
+            ]);
+            records.push(Json::obj(vec![
+                ("problem", Json::Str(key.to_string())),
+                ("variant", Json::Str(variant.name().into())),
+                ("mean_error", Json::Num(agg.mean_error)),
+                ("std_error", Json::Num(agg.std_error)),
+            ]));
+        }
     }
 
     println!("\n{}", table.render());

@@ -11,7 +11,10 @@
 #![deny(missing_docs)]
 
 use qpinn_core::report::Json;
+use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
+use qpinn_nn::ParamSet;
 use qpinn_telemetry as telemetry;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Harness-wide run options parsed from the command line.
 #[derive(Clone, Debug)]
@@ -63,58 +66,119 @@ pub struct RunOpts {
     pub runs: Option<std::path::PathBuf>,
 }
 
+/// The flags every harness binary accepts, as `(name, takes_value)`.
+const COMMON_FLAGS: &[(&str, bool)] = &[
+    ("--full", false),
+    ("--seeds", true),
+    ("--epochs", true),
+    ("--ckpt", true),
+    ("--telemetry", true),
+    ("--serve-metrics", true),
+    ("--serve", true),
+    ("--models", true),
+    ("--access-log", true),
+    ("--runs", true),
+];
+
+/// The usage text printed (to stderr, exit status 2) for `--help` or an
+/// unknown flag.
+const USAGE: &str = "\
+options:
+  --full                 paper-scale settings (default: quick)
+  --seeds N              number of seeds (default 2, or 5 with --full)
+  --epochs N             epoch budget override
+  --ckpt DIR             crash-safe snapshots under DIR
+  --telemetry PATH       JSONL event stream to PATH
+  --serve-metrics ADDR   live /metrics endpoint
+  --serve ADDR           inference server (--models DIR, --access-log PATH)
+  --runs DIR             qpinn-run-v1 run records under DIR";
+
 impl RunOpts {
-    /// Parse from `std::env::args`. Installs telemetry sinks as a side
-    /// effect when `--telemetry PATH` is present.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let full = args.iter().any(|a| a == "--full");
-        let n_seeds = args
-            .iter()
-            .position(|a| a == "--seeds")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 5 } else { 2 });
-        let ckpt = args
-            .iter()
-            .position(|a| a == "--ckpt")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let telemetry_path = args
-            .iter()
-            .position(|a| a == "--telemetry")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let epochs = args
-            .iter()
-            .position(|a| a == "--epochs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok());
-        let serve_metrics = args
-            .iter()
-            .position(|a| a == "--serve-metrics")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let serve = args
-            .iter()
-            .position(|a| a == "--serve")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let access_log = args
-            .iter()
-            .position(|a| a == "--access-log")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let runs = args
-            .iter()
-            .position(|a| a == "--runs")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        if let Some(addr) = &serve {
-            let models_dir = args
+    /// Parse `args` (without the program name) against the flags every
+    /// harness binary accepts (`--full`, `--seeds`, `--epochs`, `--ckpt`,
+    /// `--telemetry`, `--serve-metrics`, `--serve`, `--models`,
+    /// `--access-log`, `--runs`) plus a binary's own `extra` flags.
+    /// Pure: no sinks or servers are started. `Err` carries the reason
+    /// for a usage error — `--help`, an unknown flag, a missing or
+    /// malformed value.
+    pub fn parse(args: &[String], extra: &[(&str, bool)]) -> Result<RunOpts, String> {
+        let mut given: Vec<(&str, Option<&str>)> = Vec::new();
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err("help requested".into());
+            }
+            let takes_value = COMMON_FLAGS
                 .iter()
-                .position(|a| a == "--models")
-                .and_then(|i| args.get(i + 1))
+                .chain(extra)
+                .find(|(name, _)| *name == arg)
+                .map(|&(_, v)| v)
+                .ok_or_else(|| format!("unknown argument `{arg}`"))?;
+            let value = if takes_value {
+                let missing = || format!("`{arg}` needs a value");
+                Some(rest.next().ok_or_else(missing)?)
+            } else {
+                None
+            };
+            given.push((arg, value));
+        }
+        let value = |name: &str| given.iter().find(|(n, _)| *n == name).and_then(|(_, v)| *v);
+        let num = |name: &str| -> Result<Option<usize>, String> {
+            value(name)
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("`{name}` needs a non-negative integer, got `{v}`"))
+                })
+                .transpose()
+        };
+        let string = |name: &str| value(name).map(str::to_string);
+        let path = |name: &str| value(name).map(std::path::PathBuf::from);
+        let full = given.iter().any(|(n, _)| *n == "--full");
+        Ok(RunOpts {
+            full,
+            n_seeds: num("--seeds")?.unwrap_or(if full { 5 } else { 2 }),
+            ckpt: path("--ckpt"),
+            telemetry: path("--telemetry"),
+            epochs: num("--epochs")?,
+            serve_metrics: string("--serve-metrics"),
+            serve: string("--serve"),
+            access_log: path("--access-log"),
+            runs: path("--runs"),
+        })
+    }
+
+    /// Parse from `std::env::args` with only the common flags; see
+    /// [`RunOpts::from_args_with`].
+    pub fn from_args() -> Self {
+        Self::from_args_with(&[])
+    }
+
+    /// Parse from `std::env::args`, accepting a binary's own `extra`
+    /// flags too. A usage error (including `--help`) prints the reason
+    /// and the usage text to stderr and exits with status 2. Installs
+    /// telemetry sinks and starts the requested servers as a side effect.
+    pub fn from_args_with(extra: &[(&str, bool)]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let opts = match RunOpts::parse(&args, extra) {
+            Ok(opts) => opts,
+            Err(reason) => {
+                eprintln!("{reason}\n{USAGE}");
+                for (name, takes_value) in extra {
+                    eprintln!("  {name}{}", if *takes_value { " VALUE" } else { "" });
+                }
+                std::process::exit(2);
+            }
+        };
+        let RunOpts {
+            serve,
+            serve_metrics,
+            access_log,
+            runs,
+            telemetry: telemetry_path,
+            ..
+        } = &opts;
+        if let Some(addr) = serve {
+            let models_dir = flag_value(&args, "--models")
                 .map(std::path::PathBuf::from)
                 .unwrap_or_else(|| std::path::Path::new("target").join("models"));
             let mut cfg = qpinn_serve::ServeConfig::new(&models_dir);
@@ -135,7 +199,7 @@ impl RunOpts {
                 ),
             }
         }
-        if let Some(addr) = &serve_metrics {
+        if let Some(addr) = serve_metrics {
             match qpinn_obs::MetricsServer::start(addr.as_str()) {
                 Ok(server) => {
                     println!("serving metrics on http://{}/metrics", server.local_addr());
@@ -149,7 +213,7 @@ impl RunOpts {
                 ),
             }
         }
-        if let Some(path) = &telemetry_path {
+        if let Some(path) = telemetry_path {
             match telemetry::JsonlSink::create(path) {
                 Ok(sink) => {
                     telemetry::install(std::sync::Arc::new(sink));
@@ -161,22 +225,12 @@ impl RunOpts {
                 ),
             }
         }
-        RunOpts {
-            full,
-            n_seeds,
-            ckpt,
-            telemetry: telemetry_path,
-            epochs,
-            serve_metrics,
-            serve,
-            access_log,
-            runs,
-        }
+        opts
     }
 
     /// A [`qpinn_core::runs::RunConfig`] for one training run of this
     /// experiment, or `None` when `--runs` was not given. `task` is the
-    /// `runs list` label (e.g. `t1/harmonic`), `config` the document
+    /// `runs list` label (e.g. `t1/tdse-harmonic`), `config` the document
     /// hashed into the manifest's `config_hash`.
     pub fn run_cfg(&self, task: &str, seed: u64, config: Json) -> Option<qpinn_core::runs::RunConfig> {
         self.runs
@@ -353,6 +407,43 @@ pub fn standard_train(epochs: usize) -> qpinn_core::TrainConfig {
     }
 }
 
+/// The Schrödinger-family harness task config: [`ZooTaskConfig::standard`]
+/// with the norm-conservation term (weight 10) and causal time weighting
+/// (5 bins, ε = 1) switched on, and `n_collocation` interior points.
+pub fn wave_config(n_collocation: usize) -> ZooTaskConfig {
+    ZooTaskConfig {
+        n_collocation,
+        conservation: 10.0,
+        causal: Some((5, 1.0)),
+        ..ZooTaskConfig::standard()
+    }
+}
+
+/// The harness's 1D wave architecture for registry problem `key`
+/// ([`FieldNetConfig::standard_wave`]: periodic `x`, learned-period `t`,
+/// 64 random Fourier features).
+pub fn wave_net(key: &str, width: usize, depth: usize) -> FieldNetConfig {
+    let coords = resolve_problem(key)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .coords();
+    FieldNetConfig::standard_wave(coords[0].span(), coords[1].hi, width, depth)
+}
+
+/// Assemble registry problem `key` as a [`ZooTask`] on the network `net`,
+/// with parameters and collocation drawn from `seed`.
+pub fn zoo_task(
+    key: &str,
+    net: &FieldNetConfig,
+    cfg: &ZooTaskConfig,
+    seed: u64,
+) -> (ZooTask, ParamSet) {
+    let problem = resolve_problem(key).unwrap_or_else(|e| panic!("{e}"));
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let task = ZooTask::with_net(problem, net, cfg, &mut params, &mut rng);
+    (task, params)
+}
+
 /// The value following `--NAME` in an argument list, if any. The shared
 /// primitive behind the registry-facing flags (`--problem`, `--ansatz`)
 /// so binaries and tests parse them identically.
@@ -432,6 +523,42 @@ mod tests {
         assert_eq!(opts.pick_epochs(100, 1000), 1000);
         opts.epochs = Some(7);
         assert_eq!(opts.pick_epochs(100, 1000), 7);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_reads_known_flags_and_rejects_everything_else() {
+        let opts =
+            RunOpts::parse(&argv(&["--seeds", "1", "--epochs", "60", "--full"]), &[]).unwrap();
+        assert_eq!((opts.n_seeds, opts.epochs, opts.full), (1, Some(60), true));
+        let opts = RunOpts::parse(&argv(&[]), &[]).unwrap();
+        assert_eq!((opts.n_seeds, opts.epochs, opts.full), (2, None, false));
+        // `--help`, unknown flags, stray positionals, missing or
+        // malformed values are all usage errors.
+        for bad in [
+            &["--help"][..],
+            &["-h"],
+            &["--bogus"],
+            &["--seeds", "1", "extra"],
+            &["--seeds"],
+            &["--epochs", "many"],
+            &["--problem", "wave"],
+            &["--telemetry", "--full", "--bogus"],
+        ] {
+            assert!(RunOpts::parse(&argv(bad), &[]).is_err(), "{bad:?} accepted");
+        }
+        // A binary's own flags are accepted only when it declares them.
+        let sweep = [("--problem", true), ("--list-problems", false)];
+        let opts = RunOpts::parse(&argv(&["--problem", "wave", "--seeds", "3"]), &sweep).unwrap();
+        assert_eq!(opts.n_seeds, 3);
+        assert!(RunOpts::parse(&argv(&["--list-problems"]), &sweep).is_ok());
+        // A flag-looking value belongs to the flag before it.
+        let opts = RunOpts::parse(&argv(&["--telemetry", "--full"]), &[]).unwrap();
+        assert!(!opts.full);
+        assert_eq!(opts.telemetry, Some(std::path::PathBuf::from("--full")));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Loss terms: PDE residual MSE (optionally causally weighted),
-//! initial-condition fit, boundary decay, and the global
+//! initial-condition fit, and the global
 //! **norm-conservation** penalty that plays the role the energy-
 //! conservation regularizer plays in conservative-PDE PINNs: in a closed,
 //! lossless quantum system `∫|ψ|²dx` must stay exactly 1, and penalizing
@@ -27,27 +27,21 @@ pub fn ic_loss(ctx: &mut GraphCtx<'_>, net: &FieldNet, columns: &[Var], target: 
     ctx.g.mse(diff)
 }
 
-/// Boundary decay loss: predicted fields must vanish at the given points
-/// (Dirichlet problems).
-pub fn boundary_loss(ctx: &mut GraphCtx<'_>, net: &FieldNet, columns: &[Var]) -> Var {
-    let pred = net.forward_values(ctx, columns);
-    ctx.g.mse(pred)
-}
-
-/// Norm-conservation loss on a structured grid of `n_times` time slices ×
-/// `nx` spatial points (rows ordered time-major, i.e. all `x` for slice 0,
-/// then slice 1, …):
+/// Norm-conservation loss on a structured grid of time slices with
+/// `per_slice` spatial points each (rows ordered time-major, i.e. every
+/// spatial point of slice 0, then slice 1, …):
 ///
-/// `L = mean_k ( L_dom·⟨u²+v²⟩_x(t_k) − N₀ )²`
+/// `L = mean_k ( vol·⟨u²+v²⟩_space(t_k) − N₀ )²`
 ///
-/// where `N₀` is the exact initial norm. Field values only — no extra
+/// where `vol` is the spatial volume (interval length in 1D, area in 2D)
+/// and `N₀` the exact initial norm. Field values only — no extra
 /// derivative cost.
 pub fn norm_conservation_loss(
     ctx: &mut GraphCtx<'_>,
     net: &FieldNet,
     columns: &[Var],
-    nx: usize,
-    domain_length: f64,
+    per_slice: usize,
+    volume: f64,
     target_norm: f64,
 ) -> Var {
     let pred = net.forward_values(ctx, columns);
@@ -56,8 +50,8 @@ pub fn norm_conservation_loss(
     let u2 = ctx.g.square(u);
     let v2 = ctx.g.square(v);
     let dens = ctx.g.add(u2, v2);
-    let per_slice = ctx.g.mean_groups(dens, nx);
-    let norm = ctx.g.scale(per_slice, domain_length);
+    let slice_mean = ctx.g.mean_groups(dens, per_slice);
+    let norm = ctx.g.scale(slice_mean, volume);
     let drift = ctx.g.add_scalar(norm, -target_norm);
     ctx.g.mse(drift)
 }

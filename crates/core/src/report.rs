@@ -105,11 +105,15 @@ impl Json {
     /// and `qpinn-telemetry` emit: null/true/false, f64 numbers, strings
     /// with `\"` `\\` `\/` `\n` `\t` `\r` `\b` `\f` and `\uXXXX` escapes
     /// (surrogate pairs included), arrays, and objects. Rejects trailing
-    /// garbage. Used by tests and CI to validate every emitted line.
+    /// garbage, and documents nested deeper than [`MAX_JSON_DEPTH`]
+    /// arrays/objects (so a hostile request body cannot overflow the
+    /// stack). Used by tests and CI to validate every emitted line, and by
+    /// the serve plane to decode request bodies.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             chars: text.chars().collect(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -210,10 +214,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace emits stays in single digits.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Recursive-descent state for [`Json::parse`].
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -259,12 +269,27 @@ impl Parser {
             Some('t') => self.literal("true", Json::Bool(true)),
             Some('f') => self.literal("false", Json::Bool(false)),
             Some('"') => Ok(Json::Str(self.string()?)),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::object),
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{c}' at offset {}", self.pos)),
             None => Err(format!("unexpected end of input at offset {}", self.pos)),
         }
+    }
+
+    /// Run a container parser one nesting level down, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -534,6 +559,25 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1.2.3").is_err());
         assert!(Json::parse("\"bad \\x escape\"").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        // 200 KB of `[` must be a clean error, not a stack overflow.
+        let deep = "[".repeat(200 * 1024);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objs = "{\"a\":".repeat(200 * 1024);
+        assert!(Json::parse(&objs).is_err());
+        // Exactly at the cap still parses; one more level does not.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(Json::parse(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

@@ -52,49 +52,6 @@ pub fn tdse_residuals(g: &mut Graph, psi: &SplitPsi, v_pot: Var) -> (Var, Var) {
     (ru, rv)
 }
 
-/// Focusing cubic NLS residuals for `i h_t + ½h_xx + g₀|h|²h = 0`:
-///
-/// `r_u = u_t + ½ v_xx + g₀(u² + v²) v`,
-/// `r_v = v_t − ½ u_xx − g₀(u² + v²) u`.
-pub fn nls_residuals(g: &mut Graph, psi: &SplitPsi, g0: f64) -> (Var, Var) {
-    let (u, v) = (&psi.u, &psi.v);
-    let u2 = g.square(u.v);
-    let v2 = g.square(v.v);
-    let dens = g.add(u2, v2);
-    let gdens = g.scale(dens, g0);
-    // r_u
-    let half_vxx = g.scale(v.dd[0], 0.5);
-    let nv = g.mul(gdens, v.v);
-    let s = g.add(u.d[1], half_vxx);
-    let ru = g.add(s, nv);
-    // r_v
-    let half_uxx = g.scale(u.dd[0], 0.5);
-    let nu = g.mul(gdens, u.v);
-    let s2 = g.sub(v.d[1], half_uxx);
-    let rv = g.sub(s2, nu);
-    (ru, rv)
-}
-
-/// 2D TDSE residuals for `i ψ_t = −½(ψ_xx + ψ_yy) + Vψ` with coordinate
-/// convention `(x, y, t) = (0, 1, 2)`:
-///
-/// `r_u = u_t + ½(v_xx + v_yy) − V v`,
-/// `r_v = v_t − ½(u_xx + u_yy) + V u`.
-pub fn tdse2d_residuals(g: &mut Graph, psi: &SplitPsi, v_pot: Var) -> (Var, Var) {
-    let (u, v) = (&psi.u, &psi.v);
-    let v_lap = g.add(v.dd[0], v.dd[1]);
-    let half_vlap = g.scale(v_lap, 0.5);
-    let vv = g.mul(v_pot, v.v);
-    let s = g.add(u.d[2], half_vlap);
-    let ru = g.sub(s, vv);
-    let u_lap = g.add(u.dd[0], u.dd[1]);
-    let half_ulap = g.scale(u_lap, 0.5);
-    let vu = g.mul(v_pot, u.v);
-    let s2 = g.sub(v.d[2], half_ulap);
-    let rv = g.add(s2, vu);
-    (ru, rv)
-}
-
 /// Stationary residual `r = −½ψ″ + Vψ − Eψ` for a real field jet over the
 /// single coordinate `x`, with a trainable `[1, 1]` eigenvalue node `e`.
 pub fn eigen_residual(g: &mut Graph, psi: &Jet, v_pot: Var, e: Var) -> Var {
@@ -228,58 +185,6 @@ mod tests {
                 g.value(ru).data()[i]
             );
         }
-    }
-
-    #[test]
-    fn nls_soliton_residual_vanishes() {
-        // q = a sech(ax) e^{i a² t/2}: u = a sech cos φ, v = a sech sin φ,
-        // φ = a²t/2. Hand-build the jets and check both residuals vanish.
-        let a = 1.4f64;
-        let xs = [0.0, 0.6, -1.2];
-        let ts = [0.1, 0.5, 0.9];
-        let n = xs.len();
-        let mut g = Graph::new();
-        let sech = |x: f64| 1.0 / (a * x).cosh();
-        // spatial derivatives of s(x) = a·sech(ax):
-        // s' = −a²·sech·tanh; s'' = a³·sech·(1 − 2sech²)·… use
-        // (sech u)'' = sech u − 2 sech³ u with u = ax.
-        let sval: Vec<f64> = xs.iter().map(|&x| a * sech(x)).collect();
-        let sx: Vec<f64> = xs
-            .iter()
-            .map(|&x| -a * a * sech(x) * (a * x).tanh())
-            .collect();
-        let sxx: Vec<f64> = xs
-            .iter()
-            .map(|&x| a * a * a * (sech(x) - 2.0 * sech(x).powi(3)))
-            .collect();
-        let phi: Vec<f64> = ts.iter().map(|&t| 0.5 * a * a * t).collect();
-        let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..n).map(f).collect() };
-        let u = Jet {
-            v: g_constant_col(&mut g, &col(&|i| sval[i] * phi[i].cos())),
-            d: vec![
-                g_constant_col(&mut g, &col(&|i| sx[i] * phi[i].cos())),
-                g_constant_col(&mut g, &col(&|i| -0.5 * a * a * sval[i] * phi[i].sin())),
-            ],
-            dd: vec![
-                g_constant_col(&mut g, &col(&|i| sxx[i] * phi[i].cos())),
-                g_constant_col(&mut g, &vec![0.0; n]),
-            ],
-        };
-        let v = Jet {
-            v: g_constant_col(&mut g, &col(&|i| sval[i] * phi[i].sin())),
-            d: vec![
-                g_constant_col(&mut g, &col(&|i| sx[i] * phi[i].sin())),
-                g_constant_col(&mut g, &col(&|i| 0.5 * a * a * sval[i] * phi[i].cos())),
-            ],
-            dd: vec![
-                g_constant_col(&mut g, &col(&|i| sxx[i] * phi[i].sin())),
-                g_constant_col(&mut g, &vec![0.0; n]),
-            ],
-        };
-        let psi = SplitPsi { u, v };
-        let (ru, rv) = nls_residuals(&mut g, &psi, 1.0);
-        assert!(g.value(ru).max_abs() < 1e-12, "{:?}", g.value(ru));
-        assert!(g.value(rv).max_abs() < 1e-12, "{:?}", g.value(rv));
     }
 
     #[test]

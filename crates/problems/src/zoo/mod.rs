@@ -118,6 +118,14 @@ pub trait PdeProblem: Send + Sync {
     fn independent_check(&self) -> Option<Box<dyn RefSolution>> {
         None
     }
+    /// The conserved initial norm `N₀ = ∫|ψ(·, t₀)|²` over the spatial
+    /// coordinates, for problems whose outputs 0 and 1 are `(Re ψ, Im ψ)`
+    /// of a norm-preserving evolution. The generic trainer pins the
+    /// network's norm on later time slices to it when its conservation
+    /// weight is on. `None` (the default) means no conserved norm.
+    fn conserved_norm(&self) -> Option<f64> {
+        None
+    }
     /// Human-readable description of the cross-check method, for the
     /// problem-zoo docs and the `qpinn-problems-v1` listing.
     fn check_method(&self) -> &'static str;
@@ -158,9 +166,12 @@ const TABLE: &[(&str, Factory)] = &[
     ("gray-scott", gray_scott::problem),
     ("helmholtz", helmholtz::problem),
     ("klein-gordon", klein_gordon::problem),
+    ("nls-raissi", ported::nls_raissi),
     ("nls-soliton", ported::nls_soliton),
+    ("tdse-barrier", ported::tdse_barrier),
     ("tdse-free", ported::tdse_free),
     ("tdse-harmonic", ported::tdse_harmonic),
+    ("tdse-mild-harmonic", ported::tdse_mild_harmonic),
     ("tdse2d-free", ported::tdse2d_free),
     ("wave", wave::problem),
 ];

@@ -14,12 +14,11 @@
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::spec::ModelSpec;
 use qpinn_core::report::Json;
-use qpinn_core::task::{net_config_for, TdseTask, TdseTaskConfig, ZooTask, ZooTaskConfig};
+use qpinn_core::task::{net_config_for, ZooTask, ZooTaskConfig};
 use qpinn_core::trainer::{Progress, ProgressHook, TrainConfig, TrainLog, Trainer};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
 use qpinn_persist::TrainLogRecord;
-use qpinn_problems::TdseProblem;
 use qpinn_telemetry::{names, TraceCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,9 +31,8 @@ use std::sync::{Arc, Mutex};
 pub struct TrainRequest {
     /// Registry id to publish under (required).
     pub model_id: String,
-    /// Problem: a legacy TDSE preset (`free`, `harmonic`, `mild-harmonic`,
-    /// `barrier`) or any key from the `qpinn-problems` registry
-    /// (`helmholtz`, `gray-scott`, …).
+    /// Problem: any key from the `qpinn-problems` registry
+    /// (`tdse-harmonic`, `helmholtz`, `gray-scott`, …).
     pub problem: String,
     /// Hidden-layer width.
     pub width: usize,
@@ -83,7 +81,7 @@ impl TrainRequest {
                         .ok_or("field `problem` must be a string".to_string())
                 })
                 .transpose()?
-                .unwrap_or_else(|| "harmonic".to_string()),
+                .unwrap_or_else(|| "tdse-harmonic".to_string()),
             width: unat("width", 16)?,
             depth: unat("depth", 2)?,
             epochs: unat("epochs", 60)?,
@@ -97,57 +95,14 @@ impl TrainRequest {
         if req.epochs > 100_000 || req.width > 512 || req.n_collocation > 65_536 {
             return Err("train request exceeds serving limits".into());
         }
-        job_kind(&req.problem)?;
+        qpinn_problems::lookup(&req.problem).map_err(|e| e.to_string())?;
         Ok(req)
     }
 }
 
-/// What a train job will actually run: a legacy TDSE preset or a problem
-/// from the `qpinn-problems` registry.
-pub enum JobKind {
-    /// One of the original TDSE presets, trained through [`TdseTask`].
-    Legacy(TdseProblem),
-    /// A registry family, trained through the generic [`ZooTask`].
-    Zoo(Box<dyn qpinn_problems::PdeProblem>),
-}
-
-/// Resolve a problem name: legacy presets first, then the registry.
-pub fn job_kind(name: &str) -> Result<JobKind, String> {
-    match name {
-        "free" => Ok(JobKind::Legacy(TdseProblem::free_packet())),
-        "harmonic" => Ok(JobKind::Legacy(TdseProblem::harmonic_packet())),
-        "mild-harmonic" => Ok(JobKind::Legacy(TdseProblem::mild_harmonic())),
-        "barrier" => Ok(JobKind::Legacy(TdseProblem::barrier_scattering())),
-        other => qpinn_problems::lookup(other)
-            .map(JobKind::Zoo)
-            .map_err(|e| format!("{e} (or a legacy preset free|harmonic|mild-harmonic|barrier)")),
-    }
-}
-
-/// Build the task config a legacy serve job trains with: the standard
-/// architecture, scaled-down sampling/reference grids so submissions
-/// finish interactively. Public so tests can train the *identical*
-/// config in-process and compare bit-for-bit.
-pub fn job_task_config(req: &TrainRequest) -> Result<(TdseProblem, TdseTaskConfig), String> {
-    let problem = match job_kind(&req.problem)? {
-        JobKind::Legacy(p) => p,
-        JobKind::Zoo(p) => {
-            return Err(format!(
-                "`{}` is a registry problem; use job_zoo_config",
-                p.key()
-            ))
-        }
-    };
-    let mut cfg = TdseTaskConfig::standard(&problem, req.width, req.depth);
-    cfg.n_collocation = req.n_collocation;
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 12);
-    Ok((problem, cfg))
-}
-
-/// The [`ZooTaskConfig`] a registry-problem serve job trains with:
-/// quick-fidelity reference and the request's width/depth/collocation.
-/// Public for the in-process bit-exactness tests.
+/// The [`ZooTaskConfig`] a serve job trains with: quick-fidelity
+/// reference and the request's width/depth/collocation. Public for the
+/// in-process bit-exactness tests.
 pub fn job_zoo_config(req: &TrainRequest) -> ZooTaskConfig {
     let mut cfg = ZooTaskConfig::quick();
     cfg.width = req.width;
@@ -385,34 +340,19 @@ fn run_job(
         let mut train_cfg = job_train_config(&req, Some(hook));
         train_cfg.run = run;
         let trainer = Trainer::new(train_cfg);
-        match job_kind(&req.problem)? {
-            JobKind::Legacy(problem) => {
-                let (_, cfg) = job_task_config(&req)?;
-                let spec = ModelSpec {
-                    name: "tdse".into(),
-                    seed: req.seed,
-                    net: cfg.net.clone(),
-                    problem: req.problem.clone(),
-                };
-                let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
-                let log = trainer.train(&mut task, &mut params);
-                Ok::<_, String>((spec, params, log))
-            }
-            JobKind::Zoo(problem) => {
-                let cfg = job_zoo_config(&req);
-                let spec = ModelSpec {
-                    // ZooTask registers parameters under the problem key,
-                    // so a spec rebuild with the same name replays it.
-                    name: problem.key().to_string(),
-                    seed: req.seed,
-                    net: net_config_for(problem.as_ref(), &cfg),
-                    problem: req.problem.clone(),
-                };
-                let mut task = ZooTask::new(problem, &cfg, &mut params, &mut rng);
-                let log = trainer.train(&mut task, &mut params);
-                Ok::<_, String>((spec, params, log))
-            }
-        }
+        let problem = qpinn_problems::lookup(&req.problem).map_err(|e| e.to_string())?;
+        let cfg = job_zoo_config(&req);
+        let spec = ModelSpec {
+            // ZooTask registers parameters under the problem key, so a
+            // spec rebuild with the same name replays it.
+            name: problem.key().to_string(),
+            seed: req.seed,
+            net: net_config_for(problem.as_ref(), &cfg),
+            problem: req.problem.clone(),
+        };
+        let mut task = ZooTask::new(problem, &cfg, &mut params, &mut rng);
+        let log = trainer.train(&mut task, &mut params);
+        Ok::<_, String>((spec, params, log))
     }));
     let (spec, params, log) = match trained {
         Ok(Ok(t)) => t,
@@ -472,7 +412,7 @@ mod tests {
     fn tiny_request(model_id: &str) -> TrainRequest {
         TrainRequest::from_json(
             &Json::parse(&format!(
-                r#"{{"model_id":"{model_id}","problem":"harmonic","width":8,"depth":1,
+                r#"{{"model_id":"{model_id}","problem":"tdse-harmonic","width":8,"depth":1,
                     "epochs":4,"seed":11,"n_collocation":32}}"#
             ))
             .unwrap(),
@@ -484,7 +424,7 @@ mod tests {
     fn request_parsing_applies_defaults_and_rejects_bad_input() {
         let req =
             TrainRequest::from_json(&Json::parse(r#"{"model_id":"m"}"#).unwrap()).unwrap();
-        assert_eq!(req.problem, "harmonic");
+        assert_eq!(req.problem, "tdse-harmonic");
         assert_eq!(req.width, 16);
         assert_eq!(req.epochs, 60);
         assert!(TrainRequest::from_json(&Json::parse("{}").unwrap()).is_err());
@@ -546,7 +486,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("gray-scott"), "listing missing: {err}");
-        assert!(err.contains("legacy preset"), "{err}");
+        assert!(err.contains("tdse-harmonic"), "listing missing: {err}");
     }
 
     #[test]

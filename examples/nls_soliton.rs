@@ -7,30 +7,33 @@
 //! cargo run --release --example nls_soliton
 //! ```
 
-use qpinn::core::task::{NlsTask, NlsTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::NlsProblem;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    let a = 1.0;
-    let problem = NlsProblem::bright_soliton(a);
-    println!(
-        "problem: {} on [{}, {}] × [0, {}]",
-        problem.name, problem.x0, problem.x1, problem.t_end
-    );
-
-    let mut cfg = NlsTaskConfig::standard(&problem, 24, 3);
-    cfg.n_collocation = 512;
-    cfg.reference = (256, 800, 32);
-    cfg.eval_grid = (64, 24);
-
+    let cfg = ZooTaskConfig {
+        width: 24,
+        depth: 3,
+        n_collocation: 512,
+        conservation: 10.0,
+        causal: Some((5, 1.0)),
+        ..ZooTaskConfig::standard()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(7);
-    let mut task = NlsTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let mut task =
+        ZooTask::from_key("nls-soliton", &cfg, &mut params, &mut rng).expect("registered problem");
+    let coords = task.problem().coords();
+    println!(
+        "problem: {} on [{}, {}] × [0, {}]",
+        task.problem().describe(),
+        coords[0].lo,
+        coords[0].hi,
+        coords[1].hi
+    );
 
     let log = Trainer::new(TrainConfig {
         epochs: 500,
@@ -57,18 +60,21 @@ fn main() {
     );
 
     // Compare with the closed-form soliton at a few space-time points.
-    println!("\npointwise check vs EXACT soliton h = a·sech(ax)·e^(i a² t/2):");
+    println!("\npointwise check vs EXACT soliton h = sech(x)·e^(i t/2):");
     let mut worst = 0.0f64;
     for &t in &[0.25, 0.5, 1.0] {
         for &x in &[-2.0, -0.5, 0.0, 1.0, 3.0] {
-            let exact = problem.analytic(x, t).expect("soliton has a closed form");
+            let exact = task
+                .problem()
+                .analytic(&[x, t])
+                .expect("soliton has a closed form");
             let pred = task.net().predict(&params, &[vec![x, t]]);
             let (pu, pv) = (pred.get(&[0, 0]), pred.get(&[0, 1]));
-            let err = ((pu - exact.re).powi(2) + (pv - exact.im).powi(2)).sqrt();
+            let err = (pu - exact[0]).hypot(pv - exact[1]);
             worst = worst.max(err);
             println!(
                 "  (x={x:+.1}, t={t:.2})  pinn=({pu:+.4}, {pv:+.4})  exact=({:+.4}, {:+.4})  |Δ|={err:.2e}",
-                exact.re, exact.im
+                exact[0], exact[1]
             );
         }
     }

@@ -6,13 +6,11 @@
 //! cargo run --release --example resume_training
 //! ```
 
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
 use qpinn::persist::SnapshotStore;
-use qpinn::problems::TdseProblem;
 use rand::{rngs::StdRng, SeedableRng};
 
 const EPOCHS: usize = 300;
@@ -41,15 +39,20 @@ fn config(ckpt_dir: &std::path::Path) -> TrainConfig {
     }
 }
 
-fn fresh_task() -> (TdseTask, ParamSet) {
-    let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 256;
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 12);
+fn fresh_task() -> (ZooTask, ParamSet) {
+    let cfg = ZooTaskConfig {
+        width: 16,
+        depth: 2,
+        rff: true,
+        n_collocation: 256,
+        conservation: 10.0,
+        causal: Some((5, 1.0)),
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(42);
-    let task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let task =
+        ZooTask::from_key("tdse-free", &cfg, &mut params, &mut rng).expect("registered problem");
     (task, params)
 }
 

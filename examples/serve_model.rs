@@ -46,7 +46,7 @@ fn main() {
     println!("inference server: http://{addr}\n");
 
     // 2. Submit a small train job.
-    let body = r#"{"model_id":"demo","problem":"harmonic","width":12,"depth":2,
+    let body = r#"{"model_id":"demo","problem":"tdse-harmonic","width":12,"depth":2,
                    "epochs":40,"seed":7,"n_collocation":128}"#;
     let accepted = request(addr, "POST", "/v1/train", Some(body));
     println!("POST /v1/train → {accepted}");

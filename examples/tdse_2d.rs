@@ -7,31 +7,34 @@
 //! ```
 
 use qpinn::core::report::sparkline_log;
-use qpinn::core::task::{Tdse2dTask, Tdse2dTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::Tdse2dProblem;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    let problem = Tdse2dProblem::free_packet_2d();
-    println!(
-        "problem: {} on [{},{}]² × [0, {}]",
-        problem.name, problem.x.0, problem.x.1, problem.t_end
-    );
-
-    let mut cfg = Tdse2dTaskConfig::standard(20, 3);
-    cfg.rff_features = 20;
-    cfg.n_collocation = 512;
-    cfg.n_ic_side = 12;
-    cfg.conservation_grid = (3, 10);
-    cfg.reference = (64, 150, 8);
-    cfg.eval_grid = (16, 5);
+    let cfg = ZooTaskConfig {
+        width: 20,
+        depth: 3,
+        n_collocation: 512,
+        n_condition: 144,
+        conservation: 10.0,
+        ..ZooTaskConfig::standard()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(5);
-    let mut task = Tdse2dTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let mut task =
+        ZooTask::from_key("tdse2d-free", &cfg, &mut params, &mut rng).expect("registered problem");
+    let coords = task.problem().coords();
+    let (x_axis, t_end) = (&coords[0], coords[2].hi);
+    println!(
+        "problem: {} on [{},{}]² × [0, {}]",
+        task.problem().describe(),
+        x_axis.lo,
+        x_axis.hi,
+        t_end
+    );
     println!("trainable parameters: {}", params.n_scalars());
 
     let log = Trainer::new(TrainConfig {
@@ -58,10 +61,10 @@ fn main() {
     );
 
     // |ψ|² heat strip along y = 0 at t = 0 and t = t_end
-    for &t in &[0.0, problem.t_end] {
+    for &t in &[0.0, t_end] {
         print!("|ψ(x, 0, {t:.1})|²  ");
         for i in 0..33 {
-            let x = problem.x.0 + (problem.x.1 - problem.x.0) * i as f64 / 32.0;
+            let x = x_axis.lo + x_axis.span() * i as f64 / 32.0;
             let pred = task.net().predict(&params, &[vec![x, 0.0, t]]);
             let d = pred.get(&[0, 0]).powi(2) + pred.get(&[0, 1]).powi(2);
             let c = match (d * 20.0) as i64 {

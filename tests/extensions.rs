@@ -2,28 +2,30 @@
 //! the inverse-problem task, and the data-reuploading quantum layer — all
 //! driven through the facade crate.
 
-use qpinn::core::task::{InverseTaskConfig, InverseTdseTask, Tdse2dTask, Tdse2dTaskConfig};
+use qpinn::core::task::{InverseTaskConfig, InverseTdseTask};
 use qpinn::core::trainer::{PinnTask, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
-use qpinn::problems::{Tdse2dProblem, TdseProblem};
+use qpinn::problems::TdseProblem;
 use qpinn::qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
 fn tdse2d_trains_and_respects_double_periodicity() {
-    let problem = Tdse2dProblem::free_packet_2d();
-    let mut cfg = Tdse2dTaskConfig::standard(10, 2);
-    cfg.rff_features = 8;
-    cfg.n_collocation = 64;
-    cfg.n_ic_side = 5;
-    cfg.conservation_grid = (2, 5);
-    cfg.reference = (32, 40, 4);
-    cfg.eval_grid = (6, 3);
+    let cfg = ZooTaskConfig {
+        width: 10,
+        depth: 2,
+        rff: true,
+        n_collocation: 64,
+        n_condition: 25,
+        conservation: 10.0,
+        eval_budget: 216,
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
-    let mut task = Tdse2dTask::new(problem, &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::from_key("tdse2d-free", &cfg, &mut params, &mut rng).unwrap();
     let log = Trainer::new(TrainConfig {
         epochs: 25,
         schedule: LrSchedule::Constant { lr: 3e-3 },
@@ -39,7 +41,8 @@ fn tdse2d_trains_and_respects_double_periodicity() {
     .train(&mut task, &mut params);
     assert!(log.final_loss < log.loss[0], "2D loss did not drop");
     // double periodicity survives training
-    let (lx, ly) = task.problem().lengths();
+    let coords = task.problem().coords();
+    let (lx, ly) = (coords[0].span(), coords[1].span());
     let a = task.net().predict(&params, &[vec![0.3, -0.8, 0.2]]);
     let b = task
         .net()

@@ -4,13 +4,11 @@
 //! Also exercises corruption fallback and retention through the facade.
 
 use qpinn::autodiff::Var;
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, PinnTask, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
 use qpinn::persist::{RetentionPolicy, SnapshotStore};
-use qpinn::problems::TdseProblem;
 use qpinn::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
@@ -21,17 +19,20 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn tdse_fixture() -> (TdseTask, ParamSet) {
-    let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 12, 2);
-    cfg.n_collocation = 96;
-    cfg.n_ic = 24;
-    cfg.conservation_grid = (2, 12);
-    cfg.reference = (128, 100, 8);
-    cfg.eval_grid = (16, 4);
+fn tdse_fixture() -> (ZooTask, ParamSet) {
+    let cfg = ZooTaskConfig {
+        width: 12,
+        depth: 2,
+        rff: true,
+        n_collocation: 96,
+        n_condition: 24,
+        conservation: 10.0,
+        causal: Some((5, 1.0)),
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(99);
-    let task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let task = ZooTask::from_key("tdse-free", &cfg, &mut params, &mut rng).unwrap();
     (task, params)
 }
 

@@ -6,8 +6,8 @@
 //! failure injection degrade the way the design promises.
 
 use qpinn::core::report::Json;
-use qpinn::core::task::TdseTask;
 use qpinn::core::trainer::Trainer;
+use qpinn::core::ZooTask;
 use qpinn::nn::ParamSet;
 use qpinn::serve::{BatchConfig, ServeConfig, ServeServer, TrainRequest};
 use qpinn::telemetry;
@@ -75,7 +75,7 @@ fn poll_to_completion(addr: SocketAddr, job_id: &str) -> Json {
     }
 }
 
-const TRAIN_BODY: &str = r#"{"model_id":"e2e","problem":"harmonic","width":8,"depth":1,
+const TRAIN_BODY: &str = r#"{"model_id":"e2e","problem":"tdse-harmonic","width":8,"depth":1,
     "epochs":8,"seed":33,"n_collocation":48}"#;
 
 /// The tentpole acceptance path: train via the server, poll progress to
@@ -113,10 +113,11 @@ fn train_poll_eval_matches_in_process_training_bitwise() {
     // stack is bit-deterministic at any pool width, so equality here is
     // exact, not approximate.
     let req = TrainRequest::from_json(&Json::parse(TRAIN_BODY).unwrap()).unwrap();
-    let (problem, cfg) = qpinn::serve::jobs::job_task_config(&req).unwrap();
+    let cfg = qpinn::serve::jobs::job_zoo_config(&req);
+    let problem = qpinn::problems::lookup(&req.problem).unwrap();
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(req.seed);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::new(problem, &cfg, &mut params, &mut rng);
     Trainer::new(qpinn::serve::jobs::job_train_config(&req, None)).train(&mut task, &mut params);
 
     // 1050 points on a grid over the domain.
@@ -306,10 +307,43 @@ fn admission_and_error_mapping() {
     assert!(status.contains("400"), "{status}");
     let (status, _) = http(addr, "GET", "/v1/jobs/job-77/progress", None);
     assert!(status.contains("404"), "{status}");
-    let (status, _) = http(addr, "POST", "/v1/train", Some(r#"{"problem":"harmonic"}"#));
+    let (status, _) = http(
+        addr,
+        "POST",
+        "/v1/train",
+        Some(r#"{"problem":"tdse-harmonic"}"#),
+    );
     assert!(status.contains("400"), "{status}");
     let (status, _) = http(addr, "DELETE", "/v1/models", None);
     assert!(status.contains("405"), "{status}");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hostile body nested far past the JSON depth cap must come back as a
+/// clean `400` from `/v1/train` — not a stack overflow that aborts the
+/// process — and the server must keep answering afterwards.
+#[test]
+fn deeply_nested_train_body_is_rejected_and_server_stays_up() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("deep-json");
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let addr = server.local_addr();
+
+    let body = "[".repeat(200 * 1024);
+    let (status, _) = http(addr, "POST", "/v1/train", Some(&body));
+    assert!(status.contains("400"), "{status}");
+    let body = format!(
+        r#"{{"model_id":"m","problem":{}}}"#,
+        "{\"a\":".repeat(50_000)
+    );
+    let (status, _) = http(addr, "POST", "/v1/train", Some(&body));
+    assert!(status.contains("400"), "{status}");
+
+    let (status, doc) = http(addr, "GET", "/healthz", None);
+    assert!(status.contains("200 OK"), "{status}");
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -403,7 +437,7 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
     let problem = qpinn::problems::lookup(&req.problem).unwrap();
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(req.seed);
-    let mut task = qpinn::core::ZooTask::new(problem, &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::new(problem, &cfg, &mut params, &mut rng);
     Trainer::new(qpinn::serve::jobs::job_train_config(&req, None)).train(&mut task, &mut params);
     assert_eq!(task.net().n_fields(), 2, "gray-scott must be 2-component");
 

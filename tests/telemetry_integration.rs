@@ -5,12 +5,10 @@
 //! whose learning rate makes the loss explode.
 
 use qpinn::core::report::Json;
-use qpinn::core::task::{NlsTask, NlsTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, DivergenceGuard, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::NlsProblem;
 use qpinn::telemetry;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Mutex;
@@ -27,16 +25,21 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// A tiny NLS task + config that trains in well under a second.
-fn tiny_nls(epochs: usize) -> (NlsTask, ParamSet, TrainConfig) {
-    let problem = NlsProblem::bright_soliton(1.0);
-    let mut cfg = NlsTaskConfig::standard(&problem, 8, 2);
-    cfg.n_collocation = 48;
-    cfg.n_ic = 16;
-    cfg.reference = (64, 100, 8);
-    cfg.eval_grid = (16, 6);
+fn tiny_nls(epochs: usize) -> (ZooTask, ParamSet, TrainConfig) {
+    let cfg = ZooTaskConfig {
+        width: 8,
+        depth: 2,
+        rff: true,
+        n_collocation: 48,
+        n_condition: 16,
+        conservation: 10.0,
+        causal: Some((5, 1.0)),
+        eval_budget: 96,
+        ..ZooTaskConfig::quick()
+    };
     let mut rng = StdRng::seed_from_u64(7);
     let mut params = ParamSet::new();
-    let task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let task = ZooTask::from_key("nls-soliton", &cfg, &mut params, &mut rng).unwrap();
     let train = TrainConfig {
         epochs,
         schedule: LrSchedule::Constant { lr: 2e-3 },
@@ -104,6 +107,8 @@ fn jsonl_stream_has_stable_schema_and_phase_spans() {
         "epoch/loss/sample",
         "epoch/loss/forward",
         "epoch/loss/residual",
+        "epoch/loss/conditions",
+        "epoch/loss/conservation",
         "epoch/backward",
         "epoch/step",
         "epoch/checkpoint",
