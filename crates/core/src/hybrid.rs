@@ -1,7 +1,7 @@
 //! The hybrid quantum-classical PINN: a [`QuantumLayer`] spliced between
 //! the classical trunk and the output layer, trained end-to-end through
-//! custom tape primitives whose VJPs come from exact dual-number
-//! simulation.
+//! custom tape primitives whose VJPs come from the circuit's adjoint
+//! reverse sweep.
 //!
 //! The hybrid model is demonstrated on the **variational (Rayleigh
 //! quotient) eigenproblem**, which needs only first-order spatial
@@ -9,8 +9,10 @@
 //!
 //! `E[ψ] = ( ∫ ½(ψ′)² + Vψ² dx ) / ( ∫ ψ² dx )`
 //!
-//! so the quantum layer has to provide values and one JVP — both exactly
-//! differentiable with the dual/hyper-dual machinery in `qpinn-qcircuit`.
+//! so the quantum layer has to provide values and one JVP (one dual run
+//! per row), and the tape backward their gradients
+//! ([`QuantumLayer::vjp_sample`] and, forward-over-reverse,
+//! [`QuantumLayer::jvp_grads_sample`]).
 
 use crate::trainer::PinnTask;
 use qpinn_autodiff::{CustomOp, Var};
@@ -20,6 +22,18 @@ use qpinn_qcircuit::QuantumLayer;
 use qpinn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
+
+/// Sum the `p`-wide rows of `rows` in row order. Per-row results land in
+/// one buffer sized up front, so no row's output outlives its scratch.
+fn sum_rows(rows: &[f64], p: usize) -> Vec<f64> {
+    let mut acc = vec![0.0; p];
+    for row in rows.chunks(p) {
+        for (a, v) in acc.iter_mut().zip(row) {
+            *a += v;
+        }
+    }
+    acc
+}
 
 /// Tape primitive: `E[m, nq] = QuantumLayer(A[m, nq]; θ[P])`.
 struct QForwardOp {
@@ -41,28 +55,19 @@ impl CustomOp for QForwardOp {
         let theta = inputs[1].data();
         let nq = self.layer.n_qubits;
         let m = a.shape().nrows();
-        let rows: Vec<(Vec<f64>, Vec<f64>)> = (0..m)
-            .into_par_iter()
-            .map(|r| {
-                let (_, ja, jt) = self.layer.jacobians_sample(a.row(r), theta);
-                let gout = out_grad.row(r);
-                let ga: Vec<f64> = (0..nq)
-                    .map(|j| (0..nq).map(|k| gout[k] * ja[j][k]).sum())
-                    .collect();
-                let gth: Vec<f64> = (0..theta.len())
-                    .map(|p| (0..nq).map(|k| gout[k] * jt[p][k]).sum())
-                    .collect();
-                (ga, gth)
-            })
-            .collect();
         let mut grad_a = Tensor::zeros([m, nq]);
-        let mut grad_theta = vec![0.0; theta.len()];
-        for (r, (ga, gth)) in rows.into_iter().enumerate() {
-            grad_a.data_mut()[r * nq..(r + 1) * nq].copy_from_slice(&ga);
-            for (acc, v) in grad_theta.iter_mut().zip(gth) {
-                *acc += v;
-            }
-        }
+        let mut theta_rows = vec![0.0; m * theta.len()];
+        grad_a
+            .data_mut()
+            .par_chunks_mut(nq)
+            .zip(theta_rows.par_chunks_mut(theta.len()))
+            .enumerate()
+            .for_each(|(r, (ga, gth))| {
+                let (va, vth) = self.layer.vjp_sample(a.row(r), theta, out_grad.row(r));
+                ga.copy_from_slice(&va);
+                gth.copy_from_slice(&vth);
+            });
+        let grad_theta = sum_rows(&theta_rows, theta.len());
         vec![
             Some(grad_a),
             Some(Tensor::from_vec([theta.len()], grad_theta)),
@@ -92,29 +97,49 @@ impl CustomOp for QJvpOp {
         let theta = inputs[2].data();
         let nq = self.layer.n_qubits;
         let m = a.shape().nrows();
-        let rows: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..m)
-            .into_par_iter()
-            .map(|r| {
-                self.layer
-                    .jvp_grads_sample(a.row(r), t.row(r), theta, out_grad.row(r))
-            })
-            .collect();
         let mut grad_a = Tensor::zeros([m, nq]);
         let mut grad_t = Tensor::zeros([m, nq]);
-        let mut grad_theta = vec![0.0; theta.len()];
-        for (r, (ga, gt, gth)) in rows.into_iter().enumerate() {
-            grad_a.data_mut()[r * nq..(r + 1) * nq].copy_from_slice(&ga);
-            grad_t.data_mut()[r * nq..(r + 1) * nq].copy_from_slice(&gt);
-            for (acc, v) in grad_theta.iter_mut().zip(gth) {
-                *acc += v;
-            }
-        }
+        let mut theta_rows = vec![0.0; m * theta.len()];
+        grad_a
+            .data_mut()
+            .par_chunks_mut(nq)
+            .zip(grad_t.data_mut().par_chunks_mut(nq))
+            .zip(theta_rows.par_chunks_mut(theta.len()))
+            .enumerate()
+            .for_each(|(r, ((ga, gt), gth))| {
+                let (va, vt, vth) =
+                    self.layer
+                        .jvp_grads_sample(a.row(r), t.row(r), theta, out_grad.row(r));
+                ga.copy_from_slice(&va);
+                gt.copy_from_slice(&vt);
+                gth.copy_from_slice(&vth);
+            });
+        let grad_theta = sum_rows(&theta_rows, theta.len());
         vec![
             Some(grad_a),
             Some(grad_t),
             Some(Tensor::from_vec([theta.len()], grad_theta)),
         ]
     }
+}
+
+/// The quantum layer's first-order jet over a batch: values `e` and input
+/// JVPs `J_a·t`, row-wise for activations `a` and tangents `t`. One dual
+/// run per row carries both, the value in its `.re` parts.
+fn quantum_jet1(layer: &QuantumLayer, a: &Tensor, t: &Tensor, theta: &[f64]) -> (Tensor, Tensor) {
+    let (m, nq) = (a.shape().nrows(), layer.n_qubits);
+    let mut e = Tensor::zeros([m, nq]);
+    let mut jvp = Tensor::zeros([m, nq]);
+    e.data_mut()
+        .par_chunks_mut(nq)
+        .zip(jvp.data_mut().par_chunks_mut(nq))
+        .enumerate()
+        .for_each(|(r, (er, jr))| {
+            let (ve, vj) = layer.jvp_sample(a.row(r), t.row(r), theta);
+            er.copy_from_slice(&ve);
+            jr.copy_from_slice(&vj);
+        });
+    (e, jvp)
 }
 
 /// A first-order jet (value + one spatial derivative), the hybrid model's
@@ -201,35 +226,22 @@ impl HybridNet {
 
         // quantum layer as custom primitives
         let theta = ctx.param(self.theta);
-        let a_val = ctx.g.value(h.v).clone();
-        let t_val = ctx.g.value(h.dx).clone();
         let theta_val = ctx.g.value(theta).data().to_vec();
-        let m = a_val.shape().nrows();
-        let e_val = Tensor::from_vec(
-            [m, self.qlayer.n_qubits],
-            self.qlayer.forward_batch(a_val.data(), m, &theta_val),
+        let (e_val, jvp_val) = quantum_jet1(
+            &self.qlayer,
+            ctx.g.value(h.v),
+            ctx.g.value(h.dx),
+            &theta_val,
         );
         let e = ctx.g.custom(
             Box::new(QForwardOp { layer: self.qlayer }),
             &[h.v, theta],
             e_val,
         );
-        let jvp_rows: Vec<Vec<f64>> = (0..m)
-            .into_par_iter()
-            .map(|r| {
-                self.qlayer
-                    .jvp_sample(a_val.row(r), t_val.row(r), &theta_val)
-                    .1
-            })
-            .collect();
-        let mut jvp_flat = Vec::with_capacity(m * self.qlayer.n_qubits);
-        for row in jvp_rows {
-            jvp_flat.extend_from_slice(&row);
-        }
         let e_dx = ctx.g.custom(
             Box::new(QJvpOp { layer: self.qlayer }),
             &[h.v, h.dx, theta],
-            Tensor::from_vec([m, self.qlayer.n_qubits], jvp_flat),
+            jvp_val,
         );
         let hq = Jet1 { v: e, dx: e_dx };
         Self::dense_jet1(&self.out, ctx, &hq)
@@ -357,6 +369,21 @@ mod tests {
             reupload: false,
         };
         HybridNet::new(params, rng, 12, q, "hyb")
+    }
+
+    #[test]
+    fn quantum_jet_value_is_bit_identical_to_forward_batch() {
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = make_net(&mut params, &mut rng);
+        let q = *net.quantum_layer();
+        let theta = params.get(net.theta_id()).data().to_vec();
+        let a = Tensor::randn([17, q.n_qubits], 0.5, &mut rng).tanh();
+        let t = Tensor::randn([17, q.n_qubits], 1.0, &mut rng);
+        let (e, _) = quantum_jet1(&q, &a, &t, &theta);
+        let want = q.forward_batch(a.data(), 17, &theta);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(e.data()), bits(&want));
     }
 
     #[test]

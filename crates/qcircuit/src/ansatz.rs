@@ -30,9 +30,10 @@
 //! exact gradient oracle for every family except `cross-mesh-crz`, which
 //! needs the four-term controlled-rotation rule in [`crate::shift`].
 
-use crate::gates;
+use crate::circuit::{GateSink, Var};
+use crate::gates::{self, Mat2};
 use crate::state::State;
-use qpinn_dual::{Cplx, Scalar};
+use qpinn_dual::Scalar;
 
 /// The ansatz family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,14 +126,7 @@ impl Ansatz {
     /// # Panics
     /// Panics on a parameter-count mismatch.
     pub fn apply_layer<S: Scalar>(&self, state: &mut State<S>, layer: usize, params: &[S]) {
-        let nq = state.n_qubits();
-        assert_eq!(
-            params.len(),
-            self.params_per_layer(nq),
-            "{}: wrong per-layer parameter count",
-            self.name()
-        );
-        self.apply_layer_inner(state, layer, params, None);
+        self.emit_layer(state, layer, params, 0, None);
     }
 
     /// Apply one ansatz layer with a per-qubit **pre-gate** fused into the
@@ -150,17 +144,9 @@ impl Ansatz {
         state: &mut State<S>,
         layer: usize,
         params: &[S],
-        pre: &[[[Cplx<S>; 2]; 2]],
+        pre: &[Mat2<S>],
     ) {
-        let nq = state.n_qubits();
-        assert_eq!(
-            params.len(),
-            self.params_per_layer(nq),
-            "{}: wrong per-layer parameter count",
-            self.name()
-        );
-        assert_eq!(pre.len(), nq, "one pre-gate per qubit");
-        self.apply_layer_inner(state, layer, params, Some(pre));
+        self.emit_layer(state, layer, params, 0, Some(pre));
     }
 
     /// Apply the full ansatz to `state` using `params` (length must equal
@@ -169,7 +155,15 @@ impl Ansatz {
     /// # Panics
     /// Panics on a parameter-count mismatch.
     pub fn apply<S: Scalar>(&self, state: &mut State<S>, layers: usize, params: &[S]) {
-        let nq = state.n_qubits();
+        self.emit(state, layers, params);
+    }
+
+    /// Emit the full ansatz into `c`; `params[p]` is `θ_p`.
+    ///
+    /// # Panics
+    /// Panics on a parameter-count mismatch.
+    pub(crate) fn emit<S: Scalar>(&self, c: &mut impl GateSink<S>, layers: usize, params: &[S]) {
+        let nq = c.n_qubits();
         assert_eq!(
             params.len(),
             self.n_params(nq, layers),
@@ -190,134 +184,131 @@ impl Ansatz {
                     let p = layer * per + pq;
                     g = gates::mat_mul(&gates::rot(params[p], params[p + 1], params[p + 2]), &g);
                 }
-                state.apply_1q(q, &g);
+                let deps =
+                    (0..layers).flat_map(|l| (0..3).map(move |k| Var::Theta(l * per + pq + k)));
+                c.push_1q(q, g, deps);
             }
             return;
         }
         for layer in 0..layers {
-            self.apply_layer_inner(state, layer, &params[layer * per..(layer + 1) * per], None);
+            let slice = &params[layer * per..(layer + 1) * per];
+            self.emit_layer(c, layer, slice, layer * per, None);
         }
     }
 
-    fn apply_layer_inner<S: Scalar>(
+    /// Emit one ansatz layer into `c`; `params[i]` is `θ_{offset+i}`.
+    /// With `pre`, `pre[q]` is fused into the layer's leading rotation on
+    /// qubit `q` (see [`Ansatz::apply_layer_fused`]) and taken to be qubit
+    /// `q`'s embedding gate, so the fused gate also depends on
+    /// [`Var::Angle`]`(q)`.
+    ///
+    /// # Panics
+    /// Panics on a parameter-count mismatch or when `pre` does not hold
+    /// one gate per qubit.
+    pub(crate) fn emit_layer<S: Scalar, C: GateSink<S>>(
         &self,
-        state: &mut State<S>,
+        c: &mut C,
         layer: usize,
         params: &[S],
-        pre: Option<&[[[Cplx<S>; 2]; 2]]>,
+        offset: usize,
+        pre: Option<&[Mat2<S>]>,
     ) {
-        let nq = state.n_qubits();
-        {
-            let mut p = 0usize;
-            match self {
-                Ansatz::BasicEntangling | Ansatz::StronglyEntangling | Ansatz::NoEntangling => {
+        let nq = c.n_qubits();
+        assert_eq!(
+            params.len(),
+            self.params_per_layer(nq),
+            "{}: wrong per-layer parameter count",
+            self.name()
+        );
+        if let Some(pre) = pre {
+            assert_eq!(pre.len(), nq, "one pre-gate per qubit");
+        }
+        let th = |i: usize| Var::Theta(offset + i);
+        // The layer's leading rotation on qubit q, with its pre-gate fused.
+        let lead = |c: &mut C, q: usize, g: Mat2<S>, deps: &[Var]| match pre {
+            Some(pre) => c.push_1q(
+                q,
+                gates::mat_mul(&g, &pre[q]),
+                std::iter::once(Var::Angle(q)).chain(deps.iter().copied()),
+            ),
+            None => c.push_1q(q, g, deps.iter().copied()),
+        };
+        match self {
+            Ansatz::BasicEntangling | Ansatz::StronglyEntangling | Ansatz::NoEntangling => {
+                for q in 0..nq {
+                    let p = 3 * q;
+                    let g = gates::rot(params[p], params[p + 1], params[p + 2]);
+                    lead(c, q, g, &[th(p), th(p + 1), th(p + 2)]);
+                }
+                let range = match self {
+                    Ansatz::BasicEntangling => 1,
+                    Ansatz::StronglyEntangling => 1 + layer % (nq - 1).max(1),
+                    _ => 0,
+                };
+                if range > 0 && nq > 1 {
                     for q in 0..nq {
-                        let mut g = gates::rot(params[p], params[p + 1], params[p + 2]);
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                        p += 3;
-                    }
-                    match self {
-                        Ansatz::NoEntangling => {}
-                        Ansatz::BasicEntangling => {
-                            if nq > 1 {
-                                for q in 0..nq {
-                                    state.apply_cnot(q, (q + 1) % nq);
-                                }
-                            }
-                        }
-                        Ansatz::StronglyEntangling => {
-                            if nq > 1 {
-                                let range = 1 + layer % (nq - 1).max(1);
-                                for q in 0..nq {
-                                    state.apply_cnot(q, (q + range) % nq);
-                                }
-                            }
-                        }
-                        _ => unreachable!(),
+                        c.push_cnot(q, (q + range) % nq);
                     }
                 }
-                Ansatz::CrossMeshCrz => {
-                    for q in 0..nq {
-                        let mut g = gates::rx(params[p]);
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                        p += 1;
-                    }
-                    for c in 0..nq {
-                        for t in 0..nq {
-                            if c != t {
-                                state.apply_controlled_1q(c, t, &gates::rz(params[p]));
-                                p += 1;
-                            }
+            }
+            Ansatz::CrossMeshCrz => {
+                for (q, &p) in params[..nq].iter().enumerate() {
+                    lead(c, q, gates::rx(p), &[th(q)]);
+                }
+                let mut p = nq;
+                for ctl in 0..nq {
+                    for tgt in 0..nq {
+                        if ctl != tgt {
+                            c.push_controlled(ctl, tgt, gates::rz(params[p]), [th(p)]);
+                            p += 1;
                         }
                     }
                 }
-                Ansatz::Cascade => {
+            }
+            Ansatz::Cascade => {
+                for (q, &p) in params[..nq].iter().enumerate() {
+                    lead(c, q, gates::ry(p), &[th(q)]);
+                }
+                for q in 0..nq.saturating_sub(1) {
+                    c.push_cnot(q, q + 1);
+                }
+            }
+            Ansatz::Layered => {
+                // The per-qubit RY then RZ collapse into one fused 2×2.
+                for q in 0..nq {
+                    let g = gates::mat_mul(&gates::rz(params[nq + q]), &gates::ry(params[q]));
+                    lead(c, q, g, &[th(q), th(nq + q)]);
+                }
+                for q in 0..nq.saturating_sub(1) {
+                    c.push_cnot(q, q + 1);
+                }
+            }
+            Ansatz::Farhi => {
+                for (q, &p) in params[..nq].iter().enumerate() {
+                    lead(c, q, gates::rx(p), &[th(q)]);
+                }
+                // exp(−iθ ZZ/2) on (q, q+1) as CNOT · RZ(target) · CNOT
+                for q in 0..nq.saturating_sub(1) {
+                    c.push_cnot(q, q + 1);
+                    c.push_1q(q + 1, gates::rz(params[nq + q]), [th(nq + q)]);
+                    c.push_cnot(q, q + 1);
+                }
+            }
+            Ansatz::SimCirc15 => {
+                for (q, &p) in params[..nq].iter().enumerate() {
+                    lead(c, q, gates::ry(p), &[th(q)]);
+                }
+                if nq > 1 {
                     for q in 0..nq {
-                        let mut g = gates::ry(params[q]);
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                    }
-                    for q in 0..nq.saturating_sub(1) {
-                        state.apply_cnot(q, q + 1);
+                        c.push_cnot(q, (q + 1) % nq);
                     }
                 }
-                Ansatz::Layered => {
-                    // The per-qubit RY then RZ collapse into one fused 2×2.
-                    for q in 0..nq {
-                        let mut g =
-                            gates::mat_mul(&gates::rz(params[nq + q]), &gates::ry(params[q]));
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                    }
-                    for q in 0..nq.saturating_sub(1) {
-                        state.apply_cnot(q, q + 1);
-                    }
+                for q in 0..nq {
+                    c.push_1q(q, gates::ry(params[nq + q]), [th(nq + q)]);
                 }
-                Ansatz::Farhi => {
+                if nq > 1 {
                     for q in 0..nq {
-                        let mut g = gates::rx(params[q]);
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                    }
-                    // exp(−iθ ZZ/2) on (q, q+1) as CNOT · RZ(target) · CNOT
-                    for q in 0..nq.saturating_sub(1) {
-                        state.apply_cnot(q, q + 1);
-                        state.apply_1q(q + 1, &gates::rz(params[nq + q]));
-                        state.apply_cnot(q, q + 1);
-                    }
-                }
-                Ansatz::SimCirc15 => {
-                    for q in 0..nq {
-                        let mut g = gates::ry(params[q]);
-                        if let Some(pre) = pre {
-                            g = gates::mat_mul(&g, &pre[q]);
-                        }
-                        state.apply_1q(q, &g);
-                    }
-                    if nq > 1 {
-                        for q in 0..nq {
-                            state.apply_cnot(q, (q + 1) % nq);
-                        }
-                    }
-                    for q in 0..nq {
-                        state.apply_1q(q, &gates::ry(params[nq + q]));
-                    }
-                    if nq > 1 {
-                        for q in 0..nq {
-                            state.apply_cnot(q, (q + nq - 1) % nq);
-                        }
+                        c.push_cnot(q, (q + nq - 1) % nq);
                     }
                 }
             }

@@ -3,6 +3,9 @@
 
 use qpinn_dual::{Cplx, Scalar};
 
+/// A 2×2 complex gate matrix.
+pub type Mat2<S> = [[Cplx<S>; 2]; 2];
+
 /// `RX(θ) = [[cos θ/2, −i sin θ/2], [−i sin θ/2, cos θ/2]]`.
 pub fn rx<S: Scalar>(theta: S) -> [[Cplx<S>; 2]; 2] {
     let half = theta * S::from_f64(0.5);
@@ -51,6 +54,14 @@ pub fn mat_mul<S: Scalar>(a: &[[Cplx<S>; 2]; 2], b: &[[Cplx<S>; 2]; 2]) -> [[Cpl
     out
 }
 
+/// Conjugate transpose `G†` (the inverse of a unitary gate).
+pub fn dagger<S: Scalar>(g: &Mat2<S>) -> Mat2<S> {
+    [
+        [g[0][0].conj(), g[1][0].conj()],
+        [g[0][1].conj(), g[1][1].conj()],
+    ]
+}
+
 /// Check unitarity of a 2×2 matrix to tolerance (test helper, `f64` only).
 pub fn is_unitary(g: &[[Cplx<f64>; 2]; 2], tol: f64) -> bool {
     // G†G = I
@@ -61,11 +72,7 @@ pub fn is_unitary(g: &[[Cplx<f64>; 2]; 2], tol: f64) -> bool {
         }
     }
     let id = |i: usize, j: usize| if i == j { 1.0 } else { 0.0 };
-    (0..2).all(|i| {
-        (0..2).all(|j| {
-            (gg[i][j].re - id(i, j)).abs() < tol && gg[i][j].im.abs() < tol
-        })
-    })
+    (0..2).all(|i| (0..2).all(|j| (gg[i][j].re - id(i, j)).abs() < tol && gg[i][j].im.abs() < tol))
 }
 
 #[cfg(test)]
@@ -120,7 +127,10 @@ mod tests {
 
     #[test]
     fn matmul_identity() {
-        let i = [[Cplx::<f64>::one(), Cplx::zero()], [Cplx::zero(), Cplx::one()]];
+        let i = [
+            [Cplx::<f64>::one(), Cplx::zero()],
+            [Cplx::zero(), Cplx::one()],
+        ];
         let g = rx::<f64>(0.77);
         let p = mat_mul(&g, &i);
         for r in 0..2 {

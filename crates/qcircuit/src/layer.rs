@@ -1,16 +1,28 @@
 //! The batched quantum layer: angle embedding → ansatz → per-qubit Pauli-Z
-//! readout, with exact dual-number derivatives packaged for the autodiff
-//! tape (the `CustomOp` glue lives in `qpinn-core`).
+//! readout, with exact derivatives packaged for the autodiff tape (the
+//! `CustomOp` glue lives in `qpinn-core`).
 //!
-//! Every derivative below is exact — computed by instantiating the *same*
-//! simulation code with [`Dual64`] or [`HyperDual64`] scalars. The input
-//! scaling `θ_j = σ(a_j)` is folded into the seeds analytically via
+//! Every path runs the one gate list the layer's emitter produces (the
+//! `RX` embedding, then the ansatz). The tape's backward passes use the
+//! adjoint method: [`vjp_sample`] is one forward run plus one reverse
+//! sweep, and [`jvp_grads_sample`] is the same sweep at [`Dual64`]
+//! (forward-over-reverse). Forward-mode [`Dual64`] runs give the input JVP
+//! of the jets ([`jvp_sample`]) and the full Jacobians of
+//! [`jacobians_sample`], which serves as the oracle the adjoint is tested
+//! against. The input scaling `θ_j = σ(a_j)` is folded in analytically via
 //! [`InputScaling::dangle`]/[`InputScaling::ddangle`].
+//!
+//! [`vjp_sample`]: QuantumLayer::vjp_sample
+//! [`jvp_grads_sample`]: QuantumLayer::jvp_grads_sample
+//! [`jvp_sample`]: QuantumLayer::jvp_sample
+//! [`jacobians_sample`]: QuantumLayer::jacobians_sample
 
 use crate::ansatz::Ansatz;
-use crate::encoding::{angle_embed, InputScaling};
+use crate::circuit::{Circuit, GateSink, Var};
+use crate::encoding::InputScaling;
+use crate::gates;
 use crate::state::State;
-use qpinn_dual::{Dual, Dual64, HyperDual64, Scalar};
+use qpinn_dual::{Dual, Dual64, Scalar};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
@@ -45,29 +57,41 @@ impl QuantumLayer {
             .collect()
     }
 
+    /// Emit the circuit for already scaled embedding angles and parameters
+    /// `theta` into `c`: the `RX` embedding, then the ansatz. With
+    /// re-uploading, embedding → layer → embedding → layer → …, the
+    /// repeated `RX` embedding fused into each later layer's leading
+    /// rotations (one gate sweep per qubit instead of two).
+    fn emit<S: Scalar>(&self, c: &mut impl GateSink<S>, angles: &[S], theta: &[S]) {
+        debug_assert_eq!(angles.len(), self.n_qubits);
+        for (q, &a) in angles.iter().enumerate() {
+            c.push_1q(q, gates::rx(a), [Var::Angle(q)]);
+        }
+        if self.reupload {
+            let per = self.ansatz.params_per_layer(self.n_qubits);
+            let embed: Vec<_> = angles.iter().map(|&a| gates::rx(a)).collect();
+            for layer in 0..self.layers {
+                let slice = &theta[layer * per..(layer + 1) * per];
+                let pre = (layer > 0).then_some(&embed[..]);
+                self.ansatz.emit_layer(c, layer, slice, layer * per, pre);
+            }
+        } else {
+            self.ansatz.emit(c, self.layers, theta);
+        }
+    }
+
+    /// The recorded circuit (see [`QuantumLayer::emit`]).
+    fn circuit<S: Scalar>(&self, angles: &[S], theta: &[S]) -> Circuit<S> {
+        let mut c = Circuit::new(self.n_qubits);
+        self.emit(&mut c, angles, theta);
+        c
+    }
+
     /// Run the circuit for generic scalars: `angles` are the (already
     /// scaled) embedding angles, `theta` the circuit parameters.
     fn run<S: Scalar>(&self, angles: &[S], theta: &[S]) -> Vec<S> {
-        debug_assert_eq!(angles.len(), self.n_qubits);
-        let mut state: State<S> = angle_embed(angles);
-        if self.reupload {
-            // embedding → layer → embedding → layer → … with the repeated
-            // RX embedding fused into each layer's leading rotations (one
-            // gate sweep per qubit instead of two).
-            let per = self.ansatz.params_per_layer(self.n_qubits);
-            let embed: Vec<_> = angles.iter().map(|&a| crate::gates::rx(a)).collect();
-            for layer in 0..self.layers {
-                let slice = &theta[layer * per..(layer + 1) * per];
-                if layer > 0 {
-                    self.ansatz
-                        .apply_layer_fused(&mut state, layer, slice, &embed);
-                } else {
-                    self.ansatz.apply_layer(&mut state, layer, slice);
-                }
-            }
-        } else {
-            self.ansatz.apply(&mut state, self.layers, theta);
-        }
+        let mut state = State::zero(self.n_qubits);
+        self.emit(&mut state, angles, theta);
         state.all_expectations_z()
     }
 
@@ -89,6 +113,16 @@ impl QuantumLayer {
                 o.copy_from_slice(&self.forward_sample(row, theta));
             });
         out
+    }
+
+    /// Adjoint-method gradients of `s = Σ_k cot_k e_k` with respect to the
+    /// embedding angles and the parameters: one forward run, then one
+    /// reverse sweep (see [`crate::circuit`]).
+    fn adjoint_grads<S: Scalar>(&self, angles: &[S], theta: &[S], cot: &[f64]) -> (Vec<S>, Vec<S>) {
+        assert_eq!(cot.len(), self.n_qubits, "one cotangent per qubit");
+        let c = self.circuit(angles, theta);
+        let dmats = c.dep_derivatives(angles, theta, |sink, a, t| self.emit(sink, a, t));
+        c.adjoint(cot, &dmats, theta.len())
     }
 
     /// Outputs plus full Jacobians for one sample:
@@ -168,13 +202,30 @@ impl QuantumLayer {
         )
     }
 
+    /// Vector-Jacobian product for one sample: given `cot` with
+    /// `s = Σ_k cot_k e_k`, returns `(∂s/∂a, ∂s/∂θ)`. One forward run and
+    /// one adjoint reverse sweep, however many parameters.
+    pub fn vjp_sample(&self, a: &[f64], theta: &[f64], cot: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let angles: Vec<f64> = a.iter().map(|&x| self.scaling.angle(x)).collect();
+        let (g_angle, g_theta) = self.adjoint_grads(&angles, theta, cot);
+        let g_a = g_angle
+            .iter()
+            .zip(a)
+            .map(|(g, &x)| g * self.scaling.dangle(x))
+            .collect();
+        (g_a, g_theta)
+    }
+
     /// Gradients of a cotangent-contracted JVP, for the tape backward of
     /// the jet quantity `y = J_a(a, θ)·t`:
     ///
     /// given `cot` with `s = Σ_k cot_k y_k`, returns
-    /// `(∂s/∂a, ∂s/∂t, ∂s/∂θ)`. Uses hyper-dual runs: `n_qubits` for
-    /// `∂s/∂a`, `n_qubits` dual runs for `∂s/∂t`, `n_params` hyper-dual
-    /// runs for `∂s/∂θ`.
+    /// `(∂s/∂a, ∂s/∂t, ∂s/∂θ)`. Forward-over-reverse: the adjoint sweep of
+    /// [`QuantumLayer::vjp_sample`] run at `Dual64`, with the embedding
+    /// angles carrying the tangent `σ'(a)·t`. Its gradients `g` then hold
+    /// the VJP in `.re` and its derivative along the tangent in `.eps`, so
+    /// `∂s/∂θ = g_θ.eps`, `∂s/∂t_j = g_j.re·σ'_j` and
+    /// `∂s/∂a_j = g_j.eps·σ'_j + g_j.re·σ''_j·t_j`.
     #[allow(clippy::type_complexity)]
     pub fn jvp_grads_sample(
         &self,
@@ -183,97 +234,31 @@ impl QuantumLayer {
         theta: &[f64],
         cot: &[f64],
     ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let nq = self.n_qubits;
-        let base: Vec<f64> = a.iter().map(|&x| self.scaling.angle(x)).collect();
+        assert_eq!(tangent.len(), self.n_qubits);
         let d1: Vec<f64> = a.iter().map(|&x| self.scaling.dangle(x)).collect();
-        let d2: Vec<f64> = a.iter().map(|&x| self.scaling.ddangle(x)).collect();
-
-        // ∂s/∂t_j = Σ_k cot_k (J_a)_{jk}: plain Jacobian rows.
-        let theta_c1: Vec<Dual64> = theta.iter().map(|&t| Dual::constant(t)).collect();
-        let mut grad_t = vec![0.0; nq];
-        for (j, gt) in grad_t.iter_mut().enumerate() {
-            let angles: Vec<Dual64> = base
-                .iter()
-                .enumerate()
-                .map(|(i, &ang)| {
-                    if i == j {
-                        Dual::new(ang, d1[j])
-                    } else {
-                        Dual::constant(ang)
-                    }
-                })
-                .collect();
-            let out = self.run(&angles, &theta_c1);
-            *gt = out.iter().zip(cot).map(|(d, c)| d.eps * c).sum();
-        }
-
-        // ∂s/∂a_i: hyper-dual with outer seed = tangent direction (through
-        // the scaling 2-jet) and inner seed = e_i.
-        let theta_c2: Vec<HyperDual64> = theta
+        let angles: Vec<Dual64> = a
             .iter()
-            .map(|&t| <HyperDual64 as Scalar>::from_f64(t))
+            .zip(tangent)
+            .zip(&d1)
+            .map(|((&x, &t), &s1)| Dual::new(self.scaling.angle(x), s1 * t))
             .collect();
-        let mut grad_a = vec![0.0; nq];
-        for (i, ga) in grad_a.iter_mut().enumerate() {
-            let angles: Vec<HyperDual64> = (0..nq)
-                .map(|j| {
-                    // θ_j(a + α t + β e_i) to second order:
-                    // value σ(a_j); ∂α = σ'·t_j; ∂β = σ'·δ_ij;
-                    // ∂α∂β = σ''·t_j·δ_ij.
-                    let dd = if i == j { d2[j] * tangent[j] } else { 0.0 };
-                    Dual {
-                        re: Dual {
-                            re: base[j],
-                            eps: if i == j { d1[j] } else { 0.0 },
-                        },
-                        eps: Dual {
-                            re: d1[j] * tangent[j],
-                            eps: dd,
-                        },
-                    }
-                })
-                .collect();
-            let out = self.run(&angles, &theta_c2);
-            *ga = out.iter().zip(cot).map(|(h, c)| h.dd() * c).sum();
-        }
-
-        // ∂s/∂θ_p: outer seed = tangent over inputs, inner seed = e_p over
-        // parameters.
-        let mut grad_theta = vec![0.0; theta.len()];
-        let angles_t: Vec<HyperDual64> = (0..nq)
-            .map(|j| Dual {
-                re: Dual {
-                    re: base[j],
-                    eps: 0.0,
-                },
-                eps: Dual {
-                    re: d1[j] * tangent[j],
-                    eps: 0.0,
-                },
-            })
+        let theta_c: Vec<Dual64> = theta.iter().map(|&t| Dual::constant(t)).collect();
+        let (g_angle, g_theta) = self.adjoint_grads(&angles, &theta_c, cot);
+        let grad_t = g_angle.iter().zip(&d1).map(|(g, s1)| g.re * s1).collect();
+        let grad_a = g_angle
+            .iter()
+            .zip(&d1)
+            .zip(a.iter().zip(tangent))
+            .map(|((g, s1), (&x, &t))| g.eps * s1 + g.re * self.scaling.ddangle(x) * t)
             .collect();
-        for (p, gt) in grad_theta.iter_mut().enumerate() {
-            let th: Vec<HyperDual64> = theta
-                .iter()
-                .enumerate()
-                .map(|(q, &t)| Dual {
-                    re: Dual {
-                        re: t,
-                        eps: if q == p { 1.0 } else { 0.0 },
-                    },
-                    eps: Dual { re: 0.0, eps: 0.0 },
-                })
-                .collect();
-            let out = self.run(&angles_t, &th);
-            *gt = out.iter().zip(cot).map(|(h, c)| h.dd() * c).sum();
-        }
-        (grad_a, grad_t, grad_theta)
+        (grad_a, grad_t, g_theta.iter().map(|g| g.eps).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpinn_dual::HyperDual64;
     use rand::SeedableRng;
 
     fn layer() -> QuantumLayer {
@@ -288,6 +273,133 @@ mod tests {
 
     fn fd_eps() -> f64 {
         1e-6
+    }
+
+    /// Forward-mode oracle for [`QuantumLayer::jvp_grads_sample`]: one
+    /// dual run per input for `∂s/∂t`, one hyper-dual run per input for
+    /// `∂s/∂a` and one per parameter for `∂s/∂θ`.
+    fn jvp_grads_hyperdual(
+        l: &QuantumLayer,
+        a: &[f64],
+        tangent: &[f64],
+        theta: &[f64],
+        cot: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let nq = l.n_qubits;
+        let base: Vec<f64> = a.iter().map(|&x| l.scaling.angle(x)).collect();
+        let d1: Vec<f64> = a.iter().map(|&x| l.scaling.dangle(x)).collect();
+        let d2: Vec<f64> = a.iter().map(|&x| l.scaling.ddangle(x)).collect();
+        let contract =
+            |out: Vec<HyperDual64>| -> f64 { out.iter().zip(cot).map(|(h, c)| h.dd() * c).sum() };
+        let hd = |re: f64, inner: f64, outer: f64, both: f64| Dual {
+            re: Dual { re, eps: inner },
+            eps: Dual {
+                re: outer,
+                eps: both,
+            },
+        };
+        let theta_c: Vec<HyperDual64> = theta.iter().map(|&t| hd(t, 0.0, 0.0, 0.0)).collect();
+        let theta_d: Vec<Dual64> = theta.iter().map(|&t| Dual::constant(t)).collect();
+        let mut grad_a = vec![0.0; nq];
+        let mut grad_t = vec![0.0; nq];
+        for i in 0..nq {
+            // θ_j(a + α t + β e_i) to second order.
+            let angles: Vec<HyperDual64> = (0..nq)
+                .map(|j| {
+                    let (inner, both) = if i == j {
+                        (d1[j], d2[j] * tangent[j])
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    hd(base[j], inner, d1[j] * tangent[j], both)
+                })
+                .collect();
+            grad_a[i] = contract(l.run(&angles, &theta_c));
+            let angles: Vec<Dual64> = (0..nq)
+                .map(|j| Dual::new(base[j], if i == j { d1[j] } else { 0.0 }))
+                .collect();
+            grad_t[i] = l
+                .run(&angles, &theta_d)
+                .iter()
+                .zip(cot)
+                .map(|(d, c)| d.eps * c)
+                .sum();
+        }
+        let angles_t: Vec<HyperDual64> = (0..nq)
+            .map(|j| hd(base[j], 0.0, d1[j] * tangent[j], 0.0))
+            .collect();
+        let grad_theta = (0..theta.len())
+            .map(|p| {
+                let th: Vec<HyperDual64> = theta
+                    .iter()
+                    .enumerate()
+                    .map(|(q, &t)| hd(t, if q == p { 1.0 } else { 0.0 }, 0.0, 0.0))
+                    .collect();
+                contract(l.run(&angles_t, &th))
+            })
+            .collect();
+        (grad_a, grad_t, grad_theta)
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-12 * w.abs().max(1.0),
+                "{what}[{i}]: adjoint {g} vs oracle {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn adjoint_matches_forward_mode_oracles_for_every_configuration() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut k = 0usize;
+        for ansatz in Ansatz::all() {
+            for scaling in InputScaling::all() {
+                for reupload in [false, true] {
+                    let l = QuantumLayer {
+                        n_qubits: 2 + k % 4,
+                        layers: 1 + k % 3,
+                        ansatz,
+                        scaling,
+                        reupload,
+                    };
+                    k += 1;
+                    let what = format!(
+                        "{} {} reupload={reupload} nq={} layers={}",
+                        ansatz.name(),
+                        scaling.name(),
+                        l.n_qubits,
+                        l.layers
+                    );
+                    let nq = l.n_qubits;
+                    let theta = l.init_params(&mut rng);
+                    let mut draw =
+                        || -> Vec<f64> { (0..nq).map(|_| rng.gen_range(-0.9..0.9)).collect() };
+                    let (a, t, cot) = (draw(), draw(), draw());
+
+                    let (_, ja, jt) = l.jacobians_sample(&a, &theta);
+                    let want_a: Vec<f64> = ja
+                        .iter()
+                        .map(|row| row.iter().zip(&cot).map(|(j, c)| j * c).sum())
+                        .collect();
+                    let want_th: Vec<f64> = jt
+                        .iter()
+                        .map(|row| row.iter().zip(&cot).map(|(j, c)| j * c).sum())
+                        .collect();
+                    let (ga, gth) = l.vjp_sample(&a, &theta, &cot);
+                    assert_close(&ga, &want_a, &format!("{what} vjp ∂a"));
+                    assert_close(&gth, &want_th, &format!("{what} vjp ∂θ"));
+
+                    let (oa, ot, oth) = jvp_grads_hyperdual(&l, &a, &t, &theta, &cot);
+                    let (ga, gt, gth) = l.jvp_grads_sample(&a, &t, &theta, &cot);
+                    assert_close(&ga, &oa, &format!("{what} jvp-grads ∂a"));
+                    assert_close(&gt, &ot, &format!("{what} jvp-grads ∂t"));
+                    assert_close(&gth, &oth, &format!("{what} jvp-grads ∂θ"));
+                }
+            }
+        }
     }
 
     #[test]

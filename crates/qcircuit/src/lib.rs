@@ -9,15 +9,23 @@
 //! On top of the simulator sit the pieces a hybrid quantum-classical PINN
 //! needs:
 //!
+//! * `circuit` (crate-internal) — the circuit as a gate list (each gate's
+//!   2×2 matrix and the variables it depends on) and the adjoint reverse
+//!   sweep that turns it into gradients: one backward pass per sample,
+//!   however many parameters; `Dual`/`HyperDual` scalars differentiate the
+//!   2×2 gate matrices;
 //! * [`ansatz`] — the standard variational circuit templates (basic
-//!   entangling, strongly entangling, cross-mesh CRZ, no-entanglement);
+//!   entangling, strongly entangling, cross-mesh CRZ, no-entanglement),
+//!   each one emitter of that gate list;
 //! * [`encoding`] — angle embedding of classical activations with the five
 //!   input scalings studied in the QPINN literature;
 //! * [`layer`] — a batched "quantum layer" (angle embedding → ansatz →
-//!   per-qubit Pauli-Z readout) with dual-number Jacobians, spliced into
-//!   the autodiff tape by `qpinn-core`;
+//!   per-qubit Pauli-Z readout) with adjoint-method VJPs and
+//!   forward-over-reverse jet gradients, spliced into the autodiff tape by
+//!   `qpinn-core`; its forward-mode dual-number Jacobians are the oracle
+//!   the adjoint is tested against;
 //! * [`shift`] — the parameter-shift rule, used on hardware and kept here
-//!   as an independent oracle for the dual-number gradients;
+//!   as an independent gradient oracle;
 //! * [`entanglement`] — the Meyer–Wallach global entanglement measure.
 //!
 //! ```
@@ -33,6 +41,7 @@
 #![deny(missing_docs)]
 
 pub mod ansatz;
+mod circuit;
 pub mod encoding;
 pub mod entanglement;
 pub mod gates;

@@ -138,6 +138,69 @@ impl<S: Scalar> State<S> {
         }
     }
 
+    /// Multiply by the diagonal observable `Σ_q w_q Z_q` (one weight per
+    /// qubit): amplitude `i` scales by `Σ_q (−1)^{bit q of i} w_q`.
+    pub(crate) fn apply_z_sum(&mut self, weights: &[f64]) {
+        assert_eq!(weights.len(), self.n_qubits, "one weight per qubit");
+        for (i, a) in self.amps.iter_mut().enumerate() {
+            let d: f64 = weights
+                .iter()
+                .enumerate()
+                .map(|(q, &w)| if (i >> q) & 1 == 0 { w } else { -w })
+                .sum();
+            *a = a.scale(S::from_f64(d));
+        }
+    }
+
+    /// The 2×2 pair overlap `C_ab = Σ conj(self_{i_a})·other_{i_b}` over
+    /// the amplitude pairs `(i_0, i_1)` that a gate on `target`
+    /// (controlled on `control`, if any) mixes. For a single-qubit gate
+    /// `g`, `⟨self|G|other⟩ = Σ_ab g_ab·C_ab`; for a controlled one the sum
+    /// is the control-set part, the only part that depends on `g`. Pairs
+    /// are visited in ascending index order, like the apply kernels.
+    pub(crate) fn pair_overlaps(
+        &self,
+        other: &State<S>,
+        control: Option<usize>,
+        target: usize,
+    ) -> [[Cplx<S>; 2]; 2] {
+        assert_eq!(self.n_qubits, other.n_qubits, "qubit counts differ");
+        assert!(target < self.n_qubits, "target {target} out of range");
+        let mut c = [[Cplx::zero(); 2]; 2];
+        let mut add = |i0: usize, i1: usize| {
+            let (l0, l1) = (self.amps[i0].conj(), self.amps[i1].conj());
+            let (p0, p1) = (other.amps[i0], other.amps[i1]);
+            c[0][0] += l0 * p0;
+            c[0][1] += l0 * p1;
+            c[1][0] += l1 * p0;
+            c[1][1] += l1 * p1;
+        };
+        let tbit = 1usize << target;
+        match control {
+            None => {
+                for base in (0..self.amps.len()).step_by(2 * tbit) {
+                    for i0 in base..base + tbit {
+                        add(i0, i0 | tbit);
+                    }
+                }
+            }
+            Some(control) => {
+                assert!(control < self.n_qubits && control != target);
+                let cbit = 1usize << control;
+                let (lo_bit, hi_bit) = if cbit < tbit {
+                    (cbit, tbit)
+                } else {
+                    (tbit, cbit)
+                };
+                for k in 0..self.amps.len() / 4 {
+                    let i0 = insert_zero_bit(insert_zero_bit(k, lo_bit), hi_bit) | cbit;
+                    add(i0, i0 | tbit);
+                }
+            }
+        }
+        c
+    }
+
     /// Expectation value `⟨Z_q⟩ = Σ (−1)^{bit q} |ψ_i|²`.
     ///
     /// Accumulation runs in ascending basis order (within each `2·2^q`

@@ -453,7 +453,7 @@ impl Lanes for V8 {
 
 const EXP_HI: f64 = 709.782712893383996732;
 const EXP_LO: f64 = -708.396418532264106224;
-const LOG2E: f64 = 1.44269504088896340736;
+const LOG2E: f64 = std::f64::consts::LOG2_E;
 /// Cody–Waite split of ln 2 (high part exactly representable).
 const LN2_HI: f64 = 6.93145751953125e-1;
 const LN2_LO: f64 = 1.42860682030941723212e-6;
@@ -1178,7 +1178,7 @@ mod tests {
             with_width(w, || {
                 for &x in &[
                     0.0, 1.0, -1.0, 0.5, -0.5, 10.0, -10.0, 100.0, -100.0, 700.0, -700.0,
-                    1e-8, -1e-8, 0.6931471805599453, 709.7, -708.3,
+                    1e-8, -1e-8, std::f64::consts::LN_2, 709.7, -708.3,
                 ] {
                     let mut out = [0.0];
                     map_k::<OpExp>(0.0, &[x], &mut out);

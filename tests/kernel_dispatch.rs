@@ -15,7 +15,8 @@
 //! composed paths end to end: fused ansatz application against the
 //! gate-at-a-time reference on random 2–10-qubit states, a
 //! parameter-shift gradient oracle through the fused re-uploading
-//! circuit, and a short training run under forced-scalar dispatch.
+//! circuit, and the batched forward and the adjoint VJP under
+//! forced-scalar dispatch.
 
 use qpinn::qcircuit::gates;
 use qpinn::qcircuit::shift::parameter_shift_gradient;
@@ -188,5 +189,50 @@ fn forward_batch_bit_identical_under_forced_scalar_dispatch() {
     assert_eq!(
         scalar, reference,
         "circuit forward diverged between scalar and width-{dispatched} dispatch"
+    );
+}
+
+#[test]
+fn adjoint_vjp_bit_identical_under_forced_scalar_dispatch() {
+    // The adjoint reverse sweep un-applies every gate through the same
+    // `apply_1q` kernel the forward uses, so its gradients must not care
+    // which SIMD path that kernel takes either.
+    let l = QuantumLayer {
+        n_qubits: 5,
+        layers: 3,
+        ansatz: Ansatz::SimCirc15,
+        scaling: InputScaling::Acos,
+        reupload: true,
+    };
+    let mut rng = StdRng::seed_from_u64(10);
+    let theta = l.init_params(&mut rng);
+    let rows: Vec<(Vec<f64>, Vec<f64>)> = (0..16)
+        .map(|_| {
+            let a = (0..5).map(|_| rng.gen_range(-0.9..0.9)).collect();
+            let cot = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            (a, cot)
+        })
+        .collect();
+    let vjp_bits = || -> Vec<u64> {
+        rows.iter()
+            .flat_map(|(a, cot)| {
+                let (ga, gth) = l.vjp_sample(a, &theta, cot);
+                ga.into_iter()
+                    .chain(gth)
+                    .map(f64::to_bits)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    };
+
+    let dispatched = simd::width();
+    let reference = vjp_bits();
+    simd::set_width(1);
+    let scalar = vjp_bits();
+    simd::set_width(dispatched);
+
+    assert_eq!(
+        scalar, reference,
+        "adjoint VJP diverged between scalar and width-{dispatched} dispatch"
     );
 }
